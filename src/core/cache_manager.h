@@ -26,6 +26,7 @@
 #define DQSCHED_CORE_CACHE_MANAGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "common/ids.h"
@@ -153,6 +154,20 @@ class CacheManager {
   std::unordered_map<SourceId, int64_t> logical_key_of_;
   std::unordered_map<int64_t, uint64_t> versions_;
 };
+
+/// Scoped AttachAccountant: AttachCache attaches `cache` (nullptr =
+/// caching off) to `accountant`, and the returned handle detaches on every
+/// exit path, returning the reclaimable grant while the accountant still
+/// exists. Destroy it before the ExecContext that owns the accountant.
+struct CacheDetacher {
+  void operator()(CacheManager* cache) const { cache->DetachAccountant(); }
+};
+using CacheAttachment = std::unique_ptr<CacheManager, CacheDetacher>;
+inline CacheAttachment AttachCache(CacheManager* cache,
+                                   storage::MemoryAccountant* accountant) {
+  if (cache != nullptr) cache->AttachAccountant(accountant);
+  return CacheAttachment(cache);
+}
 
 }  // namespace dqsched::core
 

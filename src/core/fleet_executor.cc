@@ -20,18 +20,9 @@ namespace dqsched::core {
 
 namespace {
 
-/// Salt of the storm-compilation rng stream (schedule jitter and the
-/// FaultModel's own draws). Equal to the mediator's kFaultSalt so both
-/// drivers carve their fault randomness out of the same family.
-constexpr uint64_t kFleetFaultSalt = 0xa0761d6478bd642fULL;
 /// Salt of the retry-backoff jitter stream: dedicated, so arming retries
 /// perturbs no data/delay/fault draw anywhere else (DESIGN.md §13).
 constexpr uint64_t kFleetRetrySalt = 0x8bb84b93962eacc9ULL;
-
-uint64_t MixSeed(uint64_t base, uint64_t a, uint64_t b) {
-  return storage::Mix64(base ^ (a + 1) * 0x9e3779b97f4a7c15ULL ^
-                        (b + 1) * 0xc2b2ae3d27d4eb4fULL);
-}
 
 /// Admission estimate of one compiled template: the annotated hard +
 /// spillable memory of every chain, never below one byte (the broker
@@ -54,7 +45,7 @@ bool GrantBefore(const MemoryBroker::Grant& a, const MemoryBroker::Grant& b) {
 Result<FleetExecutor> FleetExecutor::Create(
     std::vector<plan::QuerySetup> templates,
     std::vector<FleetQuerySpec> workload, FleetConfig config) {
-  DQS_RETURN_IF_ERROR(config.cost.Validate());
+  DQS_RETURN_IF_ERROR(config.Validate());
   if (templates.empty()) {
     return Status::InvalidArgument("no query templates");
   }
@@ -62,9 +53,8 @@ Result<FleetExecutor> FleetExecutor::Create(
     return Status::InvalidArgument("empty fleet workload");
   }
   if (config.num_shards <= 0 || config.sync_turns <= 0 ||
-      config.slice_batches <= 0 || config.memory_budget_bytes <= 0) {
-    return Status::InvalidArgument(
-        "shards, sync turns, slice and budget must be > 0");
+      config.slice_batches <= 0) {
+    return Status::InvalidArgument("shards, sync turns and slice must be > 0");
   }
   DQS_RETURN_IF_ERROR(config.storm.Validate());
   if (config.max_attempts < 1) {
@@ -81,22 +71,22 @@ Result<FleetExecutor> FleetExecutor::Create(
   prepared.reserve(templates.size());
   for (size_t t = 0; t < templates.size(); ++t) {
     plan::QuerySetup& setup = templates[t];
-    PreparedTemplate tpl;
-    Result<plan::CompiledPlan> compiled =
-        plan::Compile(setup.plan, setup.catalog);
-    if (!compiled.ok()) return compiled.status();
-    tpl.compiled = std::move(compiled.value());
-    DQS_RETURN_IF_ERROR(
-        plan::Annotate(&tpl.compiled, setup.catalog, config.cost));
-    tpl.data.reserve(static_cast<size_t>(setup.catalog.num_sources()));
-    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
-      tpl.data.push_back(storage::GenerateRelation(
-          setup.catalog.source(s).relation, s,
-          Rng(MixSeed(config.seed, 0x7E3D + t, static_cast<uint64_t>(s)))));
+    if (setup.catalog.has_faults()) {
+      return Status::InvalidArgument(
+          "fleet sources take no fault schedules; the fleet's fault model "
+          "is FleetConfig::storm");
     }
-    tpl.reference = plan::ExecuteReference(tpl.compiled, tpl.data);
+    std::vector<uint64_t> data_seeds;
+    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
+      data_seeds.push_back(
+          MixSeed(config.seed, 0x7E3D + t, static_cast<uint64_t>(s)));
+    }
+    Result<PreparedQuery> query =
+        PrepareQuery(std::move(setup.catalog), setup.plan, config.cost,
+                     data_seeds, /*rowid_base=*/0);
+    if (!query.ok()) return query.status();
+    PreparedTemplate tpl{std::move(query.value())};
     tpl.est_bytes = EstimateBytes(tpl.compiled);
-    tpl.catalog = std::move(setup.catalog);
     prepared.push_back(std::move(tpl));
   }
 
@@ -237,20 +227,42 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     /// Shard-remapped plan copies of retry attempts (deque: AddQuery
     /// keeps pointers into elements, so no reallocation is allowed).
     std::deque<plan::CompiledPlan> retry_plans;
+    /// The shard cache's accountant attachment. Last member, so it is
+    /// destroyed first: the accountant it releases into lives in ctx.
+    /// Entries stay resident across runs.
+    CacheAttachment cache_attachment;
   };
   std::vector<ShardRun> shards(static_cast<size_t>(num_shards));
-  // Return the reclaimable grants on every exit path. Declared after
-  // `shards` so it is destroyed first — the accountants the managers
-  // must release into live inside the shard ExecContexts. Entries stay
-  // resident across runs.
-  struct CacheDetach {
-    std::vector<std::unique_ptr<CacheManager>>* caches = nullptr;
-    ~CacheDetach() {
-      if (caches == nullptr) return;
-      for (std::unique_ptr<CacheManager>& c : *caches) c->DetachAccountant();
+
+  // Registers one attempt's wrappers of `inst`, held, after the shard's
+  // existing sources, maps each to its logical key, and returns the first
+  // new id. Retries fold the attempt into the delay seed, so they replay
+  // the same *data* through new delay draws.
+  auto add_attempt_sources = [&](ShardRun& sr, CacheManager* cache,
+                                 const PreparedInstance& inst, int attempt) {
+    const PreparedTemplate& tpl =
+        templates_[static_cast<size_t>(inst.spec.template_idx)];
+    const SourceId base = sr.ctx->comm.num_sources();
+    WrapperSeeds seeds;
+    for (SourceId src = 0; src < tpl.catalog.num_sources(); ++src) {
+      const uint64_t attempt_salt =
+          attempt == 1 ? 0 : static_cast<uint64_t>(attempt) * 7919;
+      seeds.delay.push_back(MixSeed(config_.seed,
+                                    static_cast<uint64_t>(inst.uid),
+                                    static_cast<uint64_t>(src) + 977 +
+                                        attempt_salt));
+      const int key =
+          tpl_key_offset[static_cast<size_t>(inst.spec.template_idx)] +
+          static_cast<int>(src);
+      sr.source_key.push_back(key);
+      // Instances of a template hash to the same cache entries: the
+      // fingerprint sees the logical key, not the shard-local id.
+      if (cache != nullptr) cache->MapSource(base + src, key);
     }
-  } cache_detach;
-  if (caching) cache_detach.caches = &caches_;
+    AddWrappers(tpl, seeds, /*held=*/true, *sr.ctx);
+    return base;
+  };
+
   for (int s = 0; s < num_shards; ++s) {
     ShardRun& sr = shards[static_cast<size_t>(s)];
     sr.ctx = std::make_unique<exec::ExecContext>(
@@ -265,27 +277,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
         caching ? caches_[static_cast<size_t>(s)].get() : nullptr;
     for (int idx : shard_instances_[static_cast<size_t>(s)]) {
       const PreparedInstance& inst = instances_[static_cast<size_t>(idx)];
-      const PreparedTemplate& tpl =
-          templates_[static_cast<size_t>(inst.spec.template_idx)];
-      for (SourceId src = 0; src < tpl.catalog.num_sources(); ++src) {
-        auto w = std::make_unique<wrapper::SimWrapper>(
-            inst.source_lo + src, &tpl.data[static_cast<size_t>(src)],
-            tpl.catalog.source(src).delay,
-            MixSeed(config_.seed, static_cast<uint64_t>(inst.uid),
-                    static_cast<uint64_t>(src) + 977));
-        w->Hold();
-        sr.ctx->comm.AddSource(
-            std::move(w), static_cast<double>(config_.cost.MinWaitingTime()));
-        const int key =
-            tpl_key_offset[static_cast<size_t>(inst.spec.template_idx)] +
-            static_cast<int>(src);
-        sr.source_key.push_back(key);
-        // Instances of a template hash to the same cache entries: the
-        // fingerprint sees the logical key, not the shard-local id.
-        if (shard_cache != nullptr) {
-          shard_cache->MapSource(inst.source_lo + src, key);
-        }
-      }
+      const SourceId lo = add_attempt_sources(sr, shard_cache, inst, 1);
+      DQS_CHECK(lo == inst.source_lo);
     }
     SharedQueryLoop::Options loop_options;
     loop_options.strategy = strategy;
@@ -296,10 +289,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     loop_options.kernels = config_.kernels;
     loop_options.cache = shard_cache;
     sr.loop = std::make_unique<SharedQueryLoop>(sr.ctx.get(), loop_options);
-    if (shard_cache != nullptr) {
-      shard_cache->AttachAccountant(&sr.ctx->memory);
-      shard_cache->BeginRun();
-    }
+    sr.cache_attachment = AttachCache(shard_cache, &sr.ctx->memory);
+    if (shard_cache != nullptr) shard_cache->BeginRun();
   }
 
   MemoryBroker broker(MemoryBroker::Config{config_.memory_budget_bytes});
@@ -348,20 +339,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
     // counts).
     auto harvest = [&](int slot) {
       const SharedQueryDesc& d = sr.loop->desc(slot);
-      FaultStats& f =
-          fault_acc[static_cast<size_t>(sr.slot_uid[static_cast<size_t>(
-              slot)])];
-      for (SourceId src = d.source_lo; src < d.source_hi; ++src) {
-        const wrapper::FaultInjectionStats* fs =
-            ctx.comm.wrapper(src).fault_stats();
-        if (fs != nullptr) {
-          f.stalls_injected += fs->stalls;
-          f.disconnects_injected += fs->disconnects;
-          f.reconnects += fs->reconnects;
-          if (fs->died) ++f.sources_killed;
-        }
-        f.replays_discarded += ctx.comm.ReplayDiscarded(src);
-      }
+      fault_acc[static_cast<size_t>(sr.slot_uid[static_cast<size_t>(slot)])]
+          .AddInjected(ctx.comm, d.source_lo, d.source_hi);
     };
 
     // A cancelled query abandons any half-open probe it held: the probe
@@ -391,11 +370,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
       harvest(slot);
       abort_probes(slot, uid);
       sr.loop->CancelQuery(slot);
-      MemoryBroker::Release rel;
-      rel.uid = uid;
-      rel.bytes = oc.est_bytes;
-      rel.completed_at = now;
-      broker.Submit(rel);
+      broker.Submit(MemoryBroker::Release{uid, oc.est_bytes, now});
       sr.outstanding_est -= oc.est_bytes;
       if (deadline_kill) fault_acc[static_cast<size_t>(uid)].deadline_hit = true;
       if (ls.attempts < config_.max_attempts) {
@@ -446,93 +421,64 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
         // The grant outlived its usefulness while it sat in the mailbox
         // (the shard's clock outran the deadline): shed at join — the
         // grant is returned unused, the query never runs.
-        MemoryBroker::Release rel;
-        rel.uid = uid;
-        rel.bytes = grant.est_bytes;
-        rel.completed_at = now;
-        broker.Submit(rel);
+        broker.Submit(MemoryBroker::Release{uid, grant.est_bytes, now});
         ls.terminal = true;
         oc.status = QueryStatus::kShed;
         ++sr.retired;
         return;
       }
-      if (cache != nullptr) {
-        // Whole-query result hit (DESIGN.md §14): the fingerprint sees
-        // logical keys, so the first attempt's plan stands in for any
-        // attempt. The query joins already answered — its sources are
-        // never started (they stay held, like a shed query's), no storm
-        // schedule is compiled, no breaker is consulted — and the grant
-        // goes straight back to the broker.
-        int64_t hit_count = 0;
-        uint64_t hit_checksum = 0;
-        if (cache->LookupResult(inst.compiled, &hit_count, &hit_checksum)) {
-          ++ls.attempts;
-          SharedQueryDesc desc;
-          desc.compiled = &inst.compiled;
-          desc.source_lo = inst.source_lo;
-          desc.source_hi = inst.source_hi;
-          desc.deadline = ls.deadline;
-          desc.resolved = true;
-          desc.resolved_count = hit_count;
-          desc.resolved_checksum = hit_checksum;
-          const int slot = sr.loop->AddQuery(desc);
-          DQS_CHECK(slot == static_cast<int>(sr.slot_uid.size()));
-          sr.slot_uid.push_back(uid);
-          oc.joined = now;
-          oc.completed = now;
-          oc.completion_latency = now - oc.arrival;
-          oc.status = QueryStatus::kOk;
-          ls.terminal = true;
-          MemoryBroker::Release rel;
-          rel.uid = uid;
-          rel.bytes = grant.est_bytes;
-          rel.completed_at = now;
-          broker.Submit(rel);
-          ++sr.retired;
-          return;
-        }
-      }
       ++ls.attempts;
-      SourceId lo = inst.source_lo;
-      SourceId hi = inst.source_hi;
-      const plan::CompiledPlan* compiled = &inst.compiled;
+      SharedQueryDesc desc;
+      desc.compiled = &inst.compiled;
+      desc.source_lo = inst.source_lo;
+      desc.source_hi = inst.source_hi;
+      desc.deadline = ls.deadline;
+      auto add_slot = [&] {
+        const int slot = sr.loop->AddQuery(desc);
+        DQS_CHECK(slot == static_cast<int>(sr.slot_uid.size()));
+        sr.slot_uid.push_back(uid);
+        oc.joined = now;
+      };
+      // Whole-query result hit (DESIGN.md §14): the fingerprint sees
+      // logical keys, so the first attempt's plan stands in for any
+      // attempt. The query joins already answered — its sources are never
+      // started (they stay held, like a shed query's), no storm schedule
+      // is compiled, no breaker is consulted — and the grant goes straight
+      // back to the broker.
+      if (cache != nullptr &&
+          cache->LookupResult(inst.compiled, &desc.resolved_count,
+                              &desc.resolved_checksum)) {
+        desc.resolved = true;
+        add_slot();
+        oc.completed = now;
+        oc.completion_latency = now - oc.arrival;
+        oc.status = QueryStatus::kOk;
+        ls.terminal = true;
+        broker.Submit(MemoryBroker::Release{uid, grant.est_bytes, now});
+        ++sr.retired;
+        return;
+      }
       if (ls.attempts > 1) {
         // A retry runs fresh wrappers in a fresh shard-local source
-        // range; the first attempt's closed range stays retired. The
-        // wrapper seed folds the attempt in, so retries replay the same
-        // *data* through new delay/fault draws.
-        const SourceId n_src = tpl.catalog.num_sources();
-        lo = ctx.comm.num_sources();
-        hi = lo + n_src;
+        // range; the first attempt's closed range stays retired.
+        desc.source_lo = add_attempt_sources(sr, cache, inst, ls.attempts);
+        desc.source_hi = desc.source_lo + tpl.catalog.num_sources();
         sr.retry_plans.push_back(tpl.compiled);
         plan::CompiledPlan& copy = sr.retry_plans.back();
-        for (plan::ChainInfo& chain : copy.chains) chain.source += lo;
-        compiled = &copy;
-        for (SourceId src = 0; src < n_src; ++src) {
-          auto w = std::make_unique<wrapper::SimWrapper>(
-              lo + src, &tpl.data[static_cast<size_t>(src)],
-              tpl.catalog.source(src).delay,
-              MixSeed(config_.seed, static_cast<uint64_t>(uid),
-                      static_cast<uint64_t>(src) + 977 +
-                          static_cast<uint64_t>(ls.attempts) * 7919));
-          w->Hold();
-          ctx.comm.AddSource(std::move(w),
-                             static_cast<double>(config_.cost.MinWaitingTime()));
-          const int key =
-              tpl_key_offset[static_cast<size_t>(inst.spec.template_idx)] +
-              static_cast<int>(src);
-          sr.source_key.push_back(key);
-          if (cache != nullptr) cache->MapSource(lo + src, key);
+        for (plan::ChainInfo& chain : copy.chains) {
+          chain.source += desc.source_lo;
         }
+        desc.compiled = &copy;
       }
-      for (SourceId src = lo; src < hi; ++src) {
+      const SourceId lo = desc.source_lo;
+      for (SourceId src = lo; src < desc.source_hi; ++src) {
         const int key = sr.source_key[static_cast<size_t>(src)];
         if (config_.storm.active()) {
           // Compile the absolute-time storm spec into this attempt's
           // tuple-index schedule: an attempt starting after the storm
           // passed gets an empty schedule, which is what makes
           // retry-after-recovery succeed.
-          Rng rng(MixSeed(config_.seed ^ kFleetFaultSalt,
+          Rng rng(MixSeed(config_.seed ^ kFaultSalt,
                           static_cast<uint64_t>(uid) * 64 +
                               static_cast<uint64_t>(ls.attempts),
                           static_cast<uint64_t>(key)));
@@ -542,7 +488,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
               tpl.data[static_cast<size_t>(src - lo)].cardinality(), &rng);
           ctx.comm.InstallFaultSchedule(
               src, std::move(schedule),
-              MixSeed(config_.seed ^ kFleetFaultSalt,
+              MixSeed(config_.seed ^ kFaultSalt,
                       static_cast<uint64_t>(uid) * 64 +
                           static_cast<uint64_t>(ls.attempts),
                       static_cast<uint64_t>(key) + 0x5151));
@@ -568,15 +514,7 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
           ++fault_acc[static_cast<size_t>(uid)].sources_abandoned;
         }
       }
-      SharedQueryDesc desc;
-      desc.compiled = compiled;
-      desc.source_lo = lo;
-      desc.source_hi = hi;
-      desc.deadline = ls.deadline;
-      const int slot = sr.loop->AddQuery(desc);
-      DQS_CHECK(slot == static_cast<int>(sr.slot_uid.size()));
-      sr.slot_uid.push_back(uid);
-      oc.joined = now;
+      add_slot();
       sr.outstanding_est += grant.est_bytes;
     };
 
@@ -638,11 +576,8 @@ Result<FleetMetrics> FleetExecutor::Execute(StrategyKind strategy,
                               oc.status == QueryStatus::kOk);
           }
           ls.terminal = true;
-          MemoryBroker::Release rel;
-          rel.uid = uid;
-          rel.bytes = oc.est_bytes;
-          rel.completed_at = oc.completed;
-          broker.Submit(rel);
+          broker.Submit(
+              MemoryBroker::Release{uid, oc.est_bytes, oc.completed});
           sr.outstanding_est -= oc.est_bytes;
           ++sr.retired;
           break;

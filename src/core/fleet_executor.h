@@ -39,6 +39,7 @@
 #include "common/status.h"
 #include "core/cache_manager.h"
 #include "core/circuit_breaker.h"
+#include "core/mediator.h"
 #include "core/memory_broker.h"
 #include "core/metrics.h"
 #include "core/strategy.h"
@@ -61,24 +62,19 @@ struct FleetQuerySpec {
   FairnessClass fairness = FairnessClass::kInteractive;
 };
 
-struct FleetConfig {
-  sim::CostModel cost;
-  /// Global admission budget (the broker's) and each shard's execution
-  /// budget. Admission throttles by estimates; the per-shard accountant
-  /// enforces at runtime, with DQO spilling under pressure.
-  int64_t memory_budget_bytes = 256LL * 1024 * 1024;
-  comm::CommConfig comm;
-  StrategyConfig strategy;
+/// Fleet configuration: the shared engine fields (memory_budget_bytes is
+/// both the broker's global admission budget and each shard's execution
+/// budget — admission throttles by estimates, the per-shard accountant
+/// enforces at runtime, with DQO spilling under pressure; the result
+/// cache is one per shard) plus the fleet's own knobs.
+struct FleetConfig : EngineConfig {
   /// Fixed shard count (NOT the thread count — see the header comment).
   int num_shards = 4;
   /// Batches one query executes before yielding within a shard's loop.
   int64_t slice_batches = 32;
   /// Loop turns a shard advances per round between broker barriers.
   int64_t sync_turns = 1024;
-  uint64_t seed = 42;
-  bool verify_results = true;
   bool targeted_replans = false;
-  exec::KernelConfig kernels;
 
   // ---- Query lifecycle (DESIGN.md §13) ----------------------------------
   // The lifecycle manager is armed when deadline_budget > 0 or a storm is
@@ -105,14 +101,6 @@ struct FleetConfig {
   /// Correlated fault-storm scenario compiled into per-attempt fault
   /// schedules (wrapper/fault_model.h). kNone = no storm.
   wrapper::StormConfig storm;
-
-  // ---- Result cache (DESIGN.md §14) -------------------------------------
-  /// Per-shard materialized-fragment/result cache. Entries admitted in one
-  /// Execute become visible to the next Execute on the same FleetExecutor
-  /// (epoch gating), so a single run — and the first run of any sequence —
-  /// is byte-identical to cache=off on every non-wall metric except the
-  /// CacheStats counters themselves.
-  CacheConfig cache;
 };
 
 /// Per-query outcome, indexed by the query's stream uid.
@@ -180,10 +168,10 @@ struct FleetMetrics {
 
 class FleetExecutor {
  public:
-  /// Prepares the templates (compile, annotate, generate data, reference)
-  /// and partitions `workload` across shards by a stable hash of each
-  /// query's uid (= its index in `workload`), so the placement — like
-  /// everything downstream of it — depends only on (config, workload).
+  /// Prepares the templates through PrepareQuery and partitions
+  /// `workload` across shards by a stable hash of each query's uid (= its
+  /// index in `workload`), so the placement — like everything downstream
+  /// of it — depends only on (config, workload).
   static Result<FleetExecutor> Create(std::vector<plan::QuerySetup> templates,
                                       std::vector<FleetQuerySpec> workload,
                                       FleetConfig config);
@@ -207,11 +195,7 @@ class FleetExecutor {
   void BumpCacheVersion(int64_t logical_key) const;
 
  private:
-  struct PreparedTemplate {
-    wrapper::Catalog catalog;
-    plan::CompiledPlan compiled;  // unremapped (shard copies remap)
-    std::vector<storage::Relation> data;
-    plan::ReferenceResult reference;
+  struct PreparedTemplate : PreparedQuery {
     int64_t est_bytes = 1;  // admission estimate from the annotations
   };
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "comm/comm_manager.h"
+
 namespace dqsched::core {
 
 const char* QueryStatusName(QueryStatus status) {
@@ -18,6 +20,20 @@ const char* QueryStatusName(QueryStatus status) {
       return "shed";
   }
   return "unknown";
+}
+
+void FaultStats::AddInjected(const comm::CommManager& comm, SourceId lo,
+                             SourceId hi) {
+  for (SourceId s = lo; s < hi; ++s) {
+    const wrapper::FaultInjectionStats* fs = comm.wrapper(s).fault_stats();
+    if (fs != nullptr) {
+      stalls_injected += fs->stalls;
+      disconnects_injected += fs->disconnects;
+      reconnects += fs->reconnects;
+      if (fs->died) ++sources_killed;
+    }
+    replays_discarded += comm.ReplayDiscarded(s);
+  }
 }
 
 std::string ExecutionMetrics::ToString() const {

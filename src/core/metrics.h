@@ -6,10 +6,15 @@
 #include <cstdint>
 #include <string>
 
+#include "common/ids.h"
 #include "common/sim_time.h"
 #include "sim/disk.h"
 #include "sim/network.h"
 #include "storage/temp_store.h"
+
+namespace dqsched::comm {
+class CommManager;
+}
 
 namespace dqsched::core {
 
@@ -92,6 +97,11 @@ struct FaultStats {
            source_down_events != 0 || source_recovered_events != 0 ||
            sources_abandoned != 0 || partial_result || deadline_hit;
   }
+
+  /// Adds the wrapper-side counters of sources [lo, hi) of `comm` in
+  /// ascending id: each fault model's injections and the CM's replay
+  /// discards.
+  void AddInjected(const comm::CommManager& comm, SourceId lo, SourceId hi);
 };
 
 /// Result-cache activity of one execution (or one shard/run aggregate).

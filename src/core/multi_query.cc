@@ -3,33 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
-#include "core/execution_state.h"
 #include "core/shared_loop.h"
 #include "exec/exec_context.h"
-#include "wrapper/wrapper.h"
 
 namespace dqsched::core {
-
-namespace {
-
-uint64_t MixSeed(uint64_t base, uint64_t a, uint64_t b) {
-  return storage::Mix64(base ^ (a + 1) * 0x9e3779b97f4a7c15ULL ^
-                        (b + 1) * 0xc2b2ae3d27d4eb4fULL);
-}
-
-/// Returns the cache's reclaimable grant before the accountant it was
-/// charged to dies, on every exit path.
-struct CacheDetach {
-  CacheManager* cache = nullptr;
-  ~CacheDetach() {
-    if (cache != nullptr) cache->DetachAccountant();
-  }
-};
-
-}  // namespace
 
 const char* MultiModeName(MultiMode mode) {
   switch (mode) {
@@ -43,44 +24,43 @@ const char* MultiModeName(MultiMode mode) {
 
 Result<MultiQueryMediator> MultiQueryMediator::Create(
     std::vector<plan::QuerySetup> setups, MultiQueryConfig config) {
-  DQS_RETURN_IF_ERROR(config.cost.Validate());
+  DQS_RETURN_IF_ERROR(config.Validate());
   if (setups.empty()) {
     return Status::InvalidArgument("no queries in the mix");
   }
-  if (config.memory_budget_bytes <= 0 || config.slice_batches <= 0) {
-    return Status::InvalidArgument("budget and slice must be > 0");
+  if (config.slice_batches <= 0) {
+    return Status::InvalidArgument("slice must be > 0");
   }
 
-  std::vector<PreparedQuery> prepared;
+  std::vector<Query> queries;
   SourceId offset = 0;
   for (size_t qi = 0; qi < setups.size(); ++qi) {
     plan::QuerySetup& setup = setups[qi];
-    PreparedQuery q;
-    Result<plan::CompiledPlan> compiled =
-        plan::Compile(setup.plan, setup.catalog);
-    if (!compiled.ok()) return compiled.status();
-    q.compiled = std::move(compiled.value());
-    DQS_RETURN_IF_ERROR(
-        plan::Annotate(&q.compiled, setup.catalog, config.cost));
-
-    q.data.reserve(static_cast<size_t>(setup.catalog.num_sources()));
-    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
-      q.data.push_back(storage::GenerateRelation(
-          setup.catalog.source(s).relation, offset + s,
-          Rng(MixSeed(config.seed, qi, static_cast<uint64_t>(s)))));
+    if (setup.catalog.has_faults()) {
+      return Status::InvalidArgument(
+          "multi-query sources take no fault schedules");
     }
-    q.reference = plan::ExecuteReference(q.compiled, q.data);
-
-    // Remap chain sources into the shared mediator's global id space.
-    q.source_offset = offset;
-    for (plan::ChainInfo& chain : q.compiled.chains) {
+    Query q;
+    std::vector<uint64_t> data_seeds;
+    for (SourceId s = 0; s < setup.catalog.num_sources(); ++s) {
+      const uint64_t su = static_cast<uint64_t>(s);
+      data_seeds.push_back(MixSeed(config.seed, qi, su));
+      q.seeds.delay.push_back(MixSeed(config.seed, qi, su + 977));
+    }
+    Result<PreparedQuery> prepared =
+        PrepareQuery(std::move(setup.catalog), setup.plan, config.cost,
+                     data_seeds, /*rowid_base=*/offset);
+    if (!prepared.ok()) return prepared.status();
+    q.prepared = std::move(prepared.value());
+    q.shared_plan = q.prepared.compiled;
+    for (plan::ChainInfo& chain : q.shared_plan.chains) {
       chain.source += offset;
     }
-    offset += setup.catalog.num_sources();
-    q.catalog = std::move(setup.catalog);
-    prepared.push_back(std::move(q));
+    q.source_offset = offset;
+    offset += q.prepared.catalog.num_sources();
+    queries.push_back(std::move(q));
   }
-  return MultiQueryMediator(std::move(prepared), std::move(config));
+  return MultiQueryMediator(std::move(queries), std::move(config));
 }
 
 Result<MultiQueryMetrics> MultiQueryMediator::Execute(StrategyKind strategy,
@@ -89,12 +69,6 @@ Result<MultiQueryMetrics> MultiQueryMediator::Execute(StrategyKind strategy,
     return Status::InvalidArgument(
         "multi-query execution supports SEQ and DSE per-query strategies");
   }
-  return mode == MultiMode::kShared ? ExecuteShared(strategy)
-                                    : ExecuteSerial(strategy);
-}
-
-Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
-    StrategyKind strategy) const {
   CacheManager* cache = nullptr;
   if (config_.cache.enabled) {
     if (cache_ == nullptr) {
@@ -103,23 +77,34 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
     cache = cache_.get();
     cache->BeginRun();
   }
+  return mode == MultiMode::kShared ? ExecuteShared(strategy, cache)
+                                    : ExecuteSerial(strategy, cache);
+}
+
+Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
+    StrategyKind strategy, CacheManager* cache) const {
   MultiQueryMetrics out;
   SimDuration offset = 0;
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    const PreparedQuery& q = queries_[qi];
+    const Query& q = queries_[qi];
     if (cache != nullptr) {
+      // The run sees its sources at local ids; the cache keys them by the
+      // global ids the shared mode uses, so both modes share entries.
+      for (SourceId s = 0; s < q.prepared.catalog.num_sources(); ++s) {
+        cache->MapSource(s, q.source_offset + s);
+      }
       // Whole-query result hit: the answer is served instantly, no
       // context is even built — the query's user waits zero virtual time
       // beyond the mix's current offset.
       int64_t hit_count = 0;
       uint64_t hit_checksum = 0;
-      if (cache->LookupResult(q.compiled, &hit_count, &hit_checksum)) {
-        if (config_.verify_results &&
-            (hit_count != q.reference.result_card ||
-             hit_checksum != q.reference.checksum.value())) {
-          return Status::Internal(
-              "serial multi-query cached result mismatch in query " +
-              std::to_string(qi));
+      if (cache->LookupResult(q.prepared.compiled, &hit_count,
+                              &hit_checksum)) {
+        cache->ClearSourceMap();
+        if (config_.verify_results) {
+          DQS_RETURN_IF_ERROR(q.prepared.Verify(
+              hit_count, hit_checksum,
+              "cached serial query " + std::to_string(qi)));
         }
         out.response_times.push_back(offset);
         out.statuses.push_back(QueryStatus::kOk);
@@ -127,59 +112,25 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
         continue;
       }
     }
-    exec::ExecContext ctx(&config_.cost, config_.comm,
-                          config_.memory_budget_bytes);
-    // Every wrapper registers (global ids must resolve), but only this
-    // query's are consumed; the window protocol holds the others.
-    for (size_t qj = 0; qj < queries_.size(); ++qj) {
-      const PreparedQuery& other = queries_[qj];
-      for (SourceId s = 0; s < other.catalog.num_sources(); ++s) {
-        ctx.comm.AddSource(
-            std::make_unique<wrapper::SimWrapper>(
-                other.source_offset + s,
-                &other.data[static_cast<size_t>(s)],
-                other.catalog.source(s).delay,
-                MixSeed(config_.seed, qj, static_cast<uint64_t>(s) + 977)),
-            static_cast<double>(config_.cost.MinWaitingTime()));
-      }
-    }
-    ExecutionOptions options = OptionsFor(strategy);
-    options.kernels = config_.kernels;
-    options.cache = cache;
-    // Destroyed before ctx: the reclaimable grant must leave the
-    // accountant while it still exists.
-    CacheDetach detach;
-    if (cache != nullptr) {
-      cache->AttachAccountant(&ctx.memory);
-      detach.cache = cache;
-    }
-    ExecutionState state(&q.compiled, &ctx, options);
-    Result<ExecutionMetrics> metrics =
-        RunStrategy(strategy, state, ctx, config_.strategy);
-    if (!metrics.ok()) return metrics.status();
-    if (config_.verify_results &&
-        (metrics->result_count != q.reference.result_card ||
-         metrics->result_checksum != q.reference.checksum.value())) {
-      return Status::Internal("serial multi-query result mismatch in query " +
-                              std::to_string(qi));
-    }
-    if (cache != nullptr) {
-      cache->AdmitQuery(state, ctx, !metrics->fault.partial_result);
-    }
-    offset += metrics->response_time;
+    Result<TracedExecution> run =
+        RunQuery(config_, config_.strategy, q.prepared, q.seeds, strategy,
+                 cache, /*trace=*/false);
+    if (cache != nullptr) cache->ClearSourceMap();
+    if (!run.ok()) return run.status();
+    const ExecutionMetrics& m = run->metrics;
+    offset += m.response_time;
     out.response_times.push_back(offset);
-    out.statuses.push_back(metrics->fault.partial_result
-                               ? QueryStatus::kPartial
-                               : QueryStatus::kOk);
-    out.total_degradations += metrics->degradations;
-    out.total_result_tuples += metrics->result_count;
+    out.statuses.push_back(m.fault.partial_result ? QueryStatus::kPartial
+                                                  : QueryStatus::kOk);
+    out.total_degradations += m.degradations;
+    out.total_result_tuples += m.result_count;
     out.peak_memory_bytes =
-        std::max(out.peak_memory_bytes, metrics->peak_memory_bytes);
+        std::max(out.peak_memory_bytes, m.peak_memory_bytes);
     // Stable merge order: ascending query index (this loop).
-    out.disk += metrics->disk;
-    out.network += metrics->network;
-    out.temps += metrics->temps;
-    out.fault += metrics->fault;
+    out.disk += m.disk;
+    out.network += m.network;
+    out.temps += m.temps;
+    out.fault += m.fault;
   }
   out.makespan = offset;
   SimDuration sum = 0;
@@ -190,35 +141,13 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteSerial(
 }
 
 Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
-    StrategyKind strategy) const {
-  CacheManager* cache = nullptr;
-  if (config_.cache.enabled) {
-    if (cache_ == nullptr) {
-      cache_ = std::make_unique<CacheManager>(config_.cache);
-    }
-    cache = cache_.get();
-    cache->BeginRun();
-  }
+    StrategyKind strategy, CacheManager* cache) const {
   const int nq = num_queries();
   exec::ExecContext ctx(&config_.cost, config_.comm,
                         config_.memory_budget_bytes);
-  // Destroyed before ctx: the reclaimable grant must leave the
-  // accountant while it still exists.
-  CacheDetach detach;
-  if (cache != nullptr) {
-    cache->AttachAccountant(&ctx.memory);
-    detach.cache = cache;
-  }
-  for (size_t qj = 0; qj < queries_.size(); ++qj) {
-    const PreparedQuery& other = queries_[qj];
-    for (SourceId s = 0; s < other.catalog.num_sources(); ++s) {
-      ctx.comm.AddSource(
-          std::make_unique<wrapper::SimWrapper>(
-              other.source_offset + s, &other.data[static_cast<size_t>(s)],
-              other.catalog.source(s).delay,
-              MixSeed(config_.seed, qj, static_cast<uint64_t>(s) + 977)),
-          static_cast<double>(config_.cost.MinWaitingTime()));
-    }
+  CacheAttachment attachment = AttachCache(cache, &ctx.memory);
+  for (const Query& q : queries_) {
+    AddWrappers(q.prepared, q.seeds, /*held=*/false, ctx);
   }
 
   SharedQueryLoop::Options loop_options;
@@ -229,18 +158,17 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   loop_options.kernels = config_.kernels;
   loop_options.cache = cache;
   SharedQueryLoop loop(&ctx, loop_options);
-  for (int qi = 0; qi < nq; ++qi) {
-    const PreparedQuery& q = queries_[static_cast<size_t>(qi)];
+  for (const Query& q : queries_) {
     SharedQueryDesc desc;
-    desc.compiled = &q.compiled;
+    desc.compiled = &q.shared_plan;
     desc.source_lo = q.source_offset;
-    desc.source_hi = q.source_offset + q.catalog.num_sources();
+    desc.source_hi = q.source_offset + q.prepared.catalog.num_sources();
     if (cache != nullptr) {
       // Whole-query result hit: the slot joins already answered and never
       // enters the rotation; its wrappers are never drained.
       int64_t hit_count = 0;
       uint64_t hit_checksum = 0;
-      if (cache->LookupResult(q.compiled, &hit_count, &hit_checksum)) {
+      if (cache->LookupResult(q.shared_plan, &hit_count, &hit_checksum)) {
         desc.resolved = true;
         desc.resolved_count = hit_count;
         desc.resolved_checksum = hit_checksum;
@@ -276,13 +204,11 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   out.makespan = ctx.clock.now();
   SimDuration sum = 0;
   for (int qi = 0; qi < nq; ++qi) {
-    const PreparedQuery& q = queries_[static_cast<size_t>(qi)];
     const exec::ResultCollector& result = loop.result(qi);
-    if (config_.verify_results &&
-        (result.count() != q.reference.result_card ||
-         result.checksum().value() != q.reference.checksum.value())) {
-      return Status::Internal("shared multi-query result mismatch in query " +
-                              std::to_string(qi));
+    if (config_.verify_results) {
+      DQS_RETURN_IF_ERROR(queries_[static_cast<size_t>(qi)].prepared.Verify(
+          result.count(), result.checksum().value(),
+          "shared query " + std::to_string(qi)));
     }
     out.response_times.push_back(loop.done_at(qi));
     out.statuses.push_back(QueryStatus::kOk);
@@ -292,23 +218,13 @@ Result<MultiQueryMetrics> MultiQueryMediator::ExecuteShared(
   }
   out.mean_response = sum / static_cast<SimDuration>(nq);
   out.peak_memory_bytes = ctx.memory.peak();
-  // Shared-device aggregates come from the one shared context; the
-  // per-wrapper injection counters fold in ascending source id.
+  // Shared-device aggregates come from the one shared context.
   out.disk = ctx.disk.stats();
   out.network = ctx.net.stats();
   out.temps = ctx.temps.stats();
   out.fault.sources_suspected = ctx.comm.fault_suspicions();
   out.fault.sources_dead = ctx.comm.fault_declared_dead();
   out.fault.recoveries = ctx.comm.fault_recoveries();
-  out.fault.replays_discarded = ctx.comm.replay_discarded_total();
-  for (SourceId s = 0; s < ctx.comm.num_sources(); ++s) {
-    const wrapper::FaultInjectionStats* fs = ctx.comm.wrapper(s).fault_stats();
-    if (fs == nullptr) continue;
-    out.fault.stalls_injected += fs->stalls;
-    out.fault.disconnects_injected += fs->disconnects;
-    out.fault.reconnects += fs->reconnects;
-    if (fs->died) ++out.fault.sources_killed;
-  }
   if (cache != nullptr) out.cache = cache->stats();
   return out;
 }

@@ -38,16 +38,11 @@ enum class MultiMode {
 
 const char* MultiModeName(MultiMode mode);
 
-/// Configuration of a multi-query mediator.
-struct MultiQueryConfig {
-  sim::CostModel cost;
-  int64_t memory_budget_bytes = 256LL * 1024 * 1024;
-  comm::CommConfig comm;
-  StrategyConfig strategy;
+/// Configuration of a multi-query mediator: the shared engine fields
+/// plus the shared mode's interleaving knobs.
+struct MultiQueryConfig : EngineConfig {
   /// Batches one query executes before yielding to the next (kShared).
   int64_t slice_batches = 32;
-  uint64_t seed = 42;
-  bool verify_results = true;
   /// kShared: route a RateChange replan only to the queries actually
   /// reading the drifting source (CommManager::LastRateChangeSource)
   /// instead of replanning the query that happened to observe it.
@@ -55,13 +50,6 @@ struct MultiQueryConfig {
   /// metrics; off by default to keep the baseline byte-identical
   /// (DESIGN.md §9).
   bool targeted_replans = false;
-  /// Operator kernels (vectorized by default; scalar for A/B runs).
-  exec::KernelConfig kernels;
-  /// Result cache (DESIGN.md §14). Entries admitted in one Execute become
-  /// visible to the next Execute on the same mediator (epoch gating), so
-  /// a single run is byte-identical to cache=off on every non-wall metric
-  /// except the CacheStats counters themselves.
-  CacheConfig cache;
 };
 
 /// Results of one multi-query execution.
@@ -85,8 +73,8 @@ struct MultiQueryMetrics {
   int64_t peak_memory_bytes = 0;
   /// Shared-device aggregates. Merge order is stable and documented:
   /// kSerial sums per-query stats in ascending query index; kShared reads
-  /// the one shared context (per-wrapper fault injection counters are
-  /// folded in ascending source id either way).
+  /// the one shared context. No source injects faults (Create rejects
+  /// fault schedules); `fault` holds what the failure detector saw.
   sim::DiskStats disk;
   sim::NetworkStats network;
   storage::TempStoreStats temps;
@@ -99,9 +87,9 @@ struct MultiQueryMetrics {
 /// A mix of integration queries sharing one mediator.
 class MultiQueryMediator {
  public:
-  /// Validates and prepares every query (compile, annotate, generate
-  /// data, reference answers). Queries keep independent catalogs; their
-  /// sources are distinct wrappers at the shared mediator.
+  /// Validates and prepares every query through PrepareQuery. Queries
+  /// keep independent catalogs; their sources are distinct wrappers at
+  /// the shared mediator. Catalogs carrying fault schedules are rejected.
   static Result<MultiQueryMediator> Create(
       std::vector<plan::QuerySetup> queries, MultiQueryConfig config);
 
@@ -110,7 +98,9 @@ class MultiQueryMediator {
 
   /// Runs the mix. `strategy` selects the per-query machinery (kSeq's
   /// iterator order or kDse's dynamic scheduling); `mode` the
-  /// interleaving. Deterministic per (config, seed).
+  /// interleaving. kSerial runs each query through RunQuery on its own
+  /// context holding only its own wrappers, so a query's run never
+  /// depends on the rest of the mix. Deterministic per (config, seed).
   Result<MultiQueryMetrics> Execute(StrategyKind strategy,
                                     MultiMode mode) const;
 
@@ -125,22 +115,25 @@ class MultiQueryMediator {
   void BumpCacheVersion(int64_t logical_key) const;
 
  private:
-  struct PreparedQuery {
-    wrapper::Catalog catalog;
-    plan::CompiledPlan compiled;  // chain sources remapped to global ids
-    std::vector<storage::Relation> data;
-    plan::ReferenceResult reference;
+  struct Query {
+    /// Chain sources at local ids: the serial run.
+    PreparedQuery prepared;
+    /// The same plan with chain sources remapped to the shared mediator's
+    /// global ids: the shared mode.
+    plan::CompiledPlan shared_plan;
     SourceId source_offset = 0;
+    WrapperSeeds seeds;
   };
 
-  MultiQueryMediator(std::vector<PreparedQuery> queries,
-                     MultiQueryConfig config)
+  MultiQueryMediator(std::vector<Query> queries, MultiQueryConfig config)
       : queries_(std::move(queries)), config_(std::move(config)) {}
 
-  Result<MultiQueryMetrics> ExecuteShared(StrategyKind strategy) const;
-  Result<MultiQueryMetrics> ExecuteSerial(StrategyKind strategy) const;
+  Result<MultiQueryMetrics> ExecuteShared(StrategyKind strategy,
+                                          CacheManager* cache) const;
+  Result<MultiQueryMetrics> ExecuteSerial(StrategyKind strategy,
+                                          CacheManager* cache) const;
 
-  std::vector<PreparedQuery> queries_;
+  std::vector<Query> queries_;
   MultiQueryConfig config_;
   /// Created lazily on the first cache-enabled Execute and retained
   /// across Execute calls (warm runs). mutable: a memo, not identity —

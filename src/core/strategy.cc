@@ -71,20 +71,12 @@ ExecutionMetrics CollectMetrics(const exec::ExecContext& ctx,
   m.fault.sources_suspected = ctx.comm.fault_suspicions();
   m.fault.sources_dead = ctx.comm.fault_declared_dead();
   m.fault.recoveries = ctx.comm.fault_recoveries();
-  m.fault.replays_discarded = ctx.comm.replay_discarded_total();
   m.fault.source_down_events = counters.source_down_events;
   m.fault.source_recovered_events = counters.source_recovered_events;
   m.fault.sources_abandoned = counters.sources_abandoned;
   m.fault.partial_result = counters.partial_result;
   m.fault.deadline_hit = counters.deadline_hit;
-  for (SourceId s = 0; s < ctx.comm.num_sources(); ++s) {
-    const wrapper::FaultInjectionStats* fs = ctx.comm.wrapper(s).fault_stats();
-    if (fs == nullptr) continue;
-    m.fault.stalls_injected += fs->stalls;
-    m.fault.disconnects_injected += fs->disconnects;
-    m.fault.reconnects += fs->reconnects;
-    if (fs->died) ++m.fault.sources_killed;
-  }
+  m.fault.AddInjected(ctx.comm, 0, ctx.comm.num_sources());
   return m;
 }
 

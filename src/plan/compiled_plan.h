@@ -139,7 +139,7 @@ struct CompiledPlan {
 
   /// Transitive closure of the blocker relation for `id` (the paper's
   /// ancestors*(p)). Reference implementation: allocating DFS + sort.
-  /// Hot paths must use AncestorsOf() (enforced by dqs_lint).
+  /// Hot paths must use AncestorsOf() (enforced by dqs_analyze).
   std::vector<ChainId> Ancestors(ChainId id) const;
 
   /// The execution order of the classical iterator model: for each join,

@@ -40,6 +40,14 @@ struct Catalog {
   /// Looks a source up by relation name; kInvalidId when absent.
   SourceId Find(const std::string& name) const;
 
+  /// Some source carries a fault schedule.
+  bool has_faults() const {
+    for (const SourceSpec& s : sources) {
+      if (!s.faults.empty()) return true;
+    }
+    return false;
+  }
+
   /// Checks ids, cardinalities and delay configs.
   Status Validate() const;
 };

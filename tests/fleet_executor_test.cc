@@ -246,6 +246,25 @@ TEST(FleetExecutor, CreateValidates) {
   negative[0].arrival = -1;
   EXPECT_FALSE(
       FleetExecutor::Create(TinyTemplates(), negative, SmallConfig()).ok());
+  // A zero batch size would never let a fragment make progress.
+  FleetConfig no_batch = SmallConfig();
+  no_batch.strategy.dqp.batch_size = 0;
+  EXPECT_FALSE(
+      FleetExecutor::Create(TinyTemplates(), Stream(2), no_batch).ok());
+}
+
+TEST(FleetExecutor, RejectsFaultSchedules) {
+  // The fleet's fault model is FleetConfig::storm; per-source catalog
+  // schedules are refused instead of silently dropped.
+  std::vector<plan::QuerySetup> templates = TinyTemplates();
+  wrapper::FaultSpec death;
+  death.kind = wrapper::FaultKind::kDeath;
+  death.at_tuple = 10;
+  templates[0].catalog.sources[1].faults.events = {death};
+  Result<FleetExecutor> fleet =
+      FleetExecutor::Create(std::move(templates), Stream(2), SmallConfig());
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FleetExecutor, MaIsRejected) {

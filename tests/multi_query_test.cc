@@ -8,6 +8,7 @@
 
 #include "plan/canonical_plans.h"
 #include "plan/query_generator.h"
+#include "wrapper/fault_model.h"
 
 namespace dqsched::core {
 namespace {
@@ -32,6 +33,26 @@ TEST(MultiQuery, CreateValidates) {
   MultiQueryConfig bad = SmallConfig();
   bad.slice_batches = 0;
   EXPECT_FALSE(MultiQueryMediator::Create(MixOfTinyQueries(2), bad).ok());
+  // A zero batch size would never let a fragment make progress.
+  MultiQueryConfig no_batch = SmallConfig();
+  no_batch.strategy.dqp.batch_size = 0;
+  EXPECT_FALSE(
+      MultiQueryMediator::Create(MixOfTinyQueries(2), no_batch).ok());
+}
+
+TEST(MultiQuery, RejectsFaultSchedules) {
+  // The multi-query modes install no fault schedules; a catalog asking
+  // for one is refused instead of silently running fault-free.
+  std::vector<plan::QuerySetup> mix = MixOfTinyQueries(2);
+  wrapper::FaultSpec stall;
+  stall.kind = wrapper::FaultKind::kStall;
+  stall.at_tuple = 10;
+  stall.stall = Milliseconds(5);
+  mix[1].catalog.sources[0].faults.events = {stall};
+  Result<MultiQueryMediator> m =
+      MultiQueryMediator::Create(std::move(mix), SmallConfig());
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MultiQuery, MaIsRejected) {
@@ -66,6 +87,50 @@ TEST(MultiQuery, SerialMatchesSumOfIndividualRuns) {
   // Serial responses are cumulative and strictly increasing.
   EXPECT_LT(serial->response_times[0], serial->response_times[1]);
   EXPECT_EQ(serial->response_times[1], serial->makespan);
+
+  // Each serial query runs alone on a context holding only its own
+  // wrappers, and its data and delay seeds depend only on its index, so
+  // its run cannot depend on the rest of the mix: not on the queries that
+  // follow it, and not on how the queries before it behaved. DSE must not
+  // replan on other queries' sources, which it never reads; on the
+  // 4-query Figure-5 mix that would let slowing query 0 move query 1.
+  auto durations = [](std::vector<plan::QuerySetup> mix, StrategyKind kind) {
+    Result<MultiQueryMediator> m =
+        MultiQueryMediator::Create(std::move(mix), MultiQueryConfig{});
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    Result<MultiQueryMetrics> r = m->Execute(kind, MultiMode::kSerial);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<SimDuration> out;
+    SimDuration before = 0;
+    for (SimDuration t : r->response_times) {
+      out.push_back(t - before);
+      before = t;
+    }
+    return out;
+  };
+  auto figure5_mix = [](int n) {
+    std::vector<plan::QuerySetup> mix;
+    for (int i = 0; i < n; ++i) mix.push_back(plan::PaperFigure5Query(0.1));
+    return mix;
+  };
+  for (StrategyKind kind : {StrategyKind::kSeq, StrategyKind::kDse}) {
+    const std::vector<SimDuration> all = durations(figure5_mix(4), kind);
+    ASSERT_EQ(all.size(), 4u);
+    EXPECT_EQ(durations(figure5_mix(2), kind),
+              std::vector<SimDuration>(all.begin(), all.begin() + 2))
+        << StrategyName(kind);
+    std::vector<plan::QuerySetup> slowed = figure5_mix(4);
+    for (wrapper::SourceSpec& src : slowed[0].catalog.sources) {
+      src.delay.mean_us *= 3.0;
+    }
+    const std::vector<SimDuration> after =
+        durations(std::move(slowed), kind);
+    ASSERT_EQ(after.size(), 4u);
+    EXPECT_GT(after[0], all[0]);
+    EXPECT_EQ(std::vector<SimDuration>(after.begin() + 1, after.end()),
+              std::vector<SimDuration>(all.begin() + 1, all.end()))
+        << StrategyName(kind);
+  }
 }
 
 TEST(MultiQuery, SharedSeqCompletesToo) {

@@ -2,13 +2,12 @@
 """dqs_analyze — C++-aware static analysis for the dqsched tree.
 
 One analyzer, one marker syntax, one findings format. Runs as the
-`dqs_analyze` ctest (full rule set) and behind the `dqs_lint` ctest
-(legacy rule subset, via tools/dqs_lint.py). Unlike the line-regex linter
-it replaces, it works on a token stream from a real C++ lexer (comments
-and string literals can never produce findings, member calls are
-distinguished from free calls and declarations) and on a cross-file
-include graph (layer violations and include cycles are graph properties,
-not line patterns).
+`dqs_analyze` ctest (full rule set, the legacy convention rules
+included). Unlike the line-regex linter it replaces, it works on a token
+stream from a real C++ lexer (comments and string literals can never
+produce findings, member calls are distinguished from free calls and
+declarations) and on a cross-file include graph (layer violations and
+include cycles are graph properties, not line patterns).
 
 Rule families
 -------------
@@ -78,7 +77,7 @@ exactly two reviewed points):
                    unreviewed hit point and erode the off-vs-cold
                    byte-identity argument.
 
-legacy conventions (ported from dqs_lint.py, same semantics):
+legacy conventions (ported from the old regex linter, same semantics):
   guard            include guards are DQSCHED_<REL_PATH>_H_ with a
                    matching `#endif  // ...` trailer
   own-header       every src/**/*.cc with a sibling header includes it
@@ -972,7 +971,8 @@ def check_cache_affinity(an, f):
 
 
 # --------------------------------------------------------------------------
-# Legacy rules (ported from dqs_lint.py onto the shared infrastructure).
+# Legacy rules (ported from the old regex linter onto the shared
+# infrastructure).
 # --------------------------------------------------------------------------
 
 
@@ -1282,8 +1282,6 @@ def main(argv=None):
                         help="repository root (containing src/)")
     parser.add_argument("--rules",
                         help="comma-separated rule subset (default: all)")
-    parser.add_argument("--legacy-only", action="store_true",
-                        help="run only the ten rules ported from dqs_lint")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--self-test", metavar="FIXTURES_DIR",
                         help="run the golden-finding fixture suite")
@@ -1298,9 +1296,7 @@ def main(argv=None):
     if args.self_test:
         return self_test(args.self_test)
     rules = None
-    if args.legacy_only:
-        rules = list(LEGACY_RULES)
-    elif args.rules:
+    if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     return run(args.root, rules)
 
